@@ -37,8 +37,9 @@
    - [wire.fanout]  — serialisation work of one broadcast to 8
      recipients: encode-per-recipient + decode-per-copy (what a naive
      transport does) vs encode-once + shared-frame memoised decode
-     (what [Net.bcast] + [Codec.framed] do — one encode and one decode
-     per broadcast, however many recipients).
+     (what a group with a codec does through [Sgroup.encode] and
+     [Sgroup.view] — one encode and one decode per broadcast, however
+     many recipients).
 
    Results go to a table on stdout and to the cumulative machine-readable
    artifact (default [BENCH_PR10.json], override with CAUSALB_BENCH_OUT)
@@ -68,7 +69,7 @@ module Wire = Causalb_util.Wire
 module Json = Causalb_util.Json
 module Codec = Causalb_core.Codec
 module Pcb = Causalb_core.Pcbcast
-module Fgroup = Causalb_core.Fgroup
+module Sgroup = Causalb_stackbase.Sgroup
 module Metrics = Causalb_stackbase.Metrics
 
 let quota_ms =
@@ -305,6 +306,8 @@ let wire_enc = Codec.put_envelope Codec.put_str
 
 let wire_dec = Codec.get_envelope Codec.get_str
 
+let wire_codec_bss = Codec.bss Codec.put_str Codec.get_str
+
 (* Average binary frame size over the shape's envelopes — the bytes one
    delivered copy carries, reported as the row's [wire_bytes_per_unit]. *)
 let avg_frame_bytes envs =
@@ -358,10 +361,9 @@ let wire_fanout n =
   let after () =
     sink := 0;
     for r = 0 to rounds - 1 do
-      let frame = Codec.encode pool wire_enc envs.(r) in
-      let fr = Codec.framed frame in
+      let fr = Sgroup.encode pool wire_codec_bss envs.(r) in
       for _dst = 1 to nodes do
-        let e = Codec.view fr ~dec:wire_dec in
+        let e = Sgroup.view fr ~dec:wire_dec in
         sink := !sink + e.Bss.sender
       done
     done
@@ -379,11 +381,11 @@ let wire_fanout n =
    timed run (BSS's clock is itself O(n) state), amortised over k
    deliveries.
 
-   E2e rows run whole framed groups through the simulated transport —
-   full-mesh BSS against PC flooding on a degree-8 overlay — and read
-   metadata bytes from the control/payload split the metrics layer
-   records per copy, so the numbers are the accounting real runs
-   report, not a codec-only estimate.
+   E2e rows run whole groups with a codec through the simulated
+   transport — full-mesh BSS against PC flooding on a degree-8 overlay
+   — and read metadata bytes from the control/payload split the
+   metrics layer records per copy, so the numbers are the accounting
+   real runs report, not a codec-only estimate.
 
    CAUSALB_BENCH_MEMBERS_MAX caps the sweep (CI smoke uses a small cap;
    the committed artifact runs the full 1k/10k/100k micro and 16..1024
@@ -415,7 +417,7 @@ let member_micro n =
         })
   in
   let pc_envs =
-    let sender = Pcb.member ~id:1 ~send:(fun ~dst:_ _ -> ()) () in
+    let sender = Pcb.member ~id:1 ~send:(fun _ ~dst:_ -> ()) () in
     Array.init k (fun _ -> fst (Pcb.next_envelope sender 0))
   in
   let bss () =
@@ -426,8 +428,10 @@ let member_micro n =
     (* adopt-first baseline: the first copy from origin 1 is seq 0, so
        every subsequent seq delivers straight through — no peers, no
        flooding, just the cursor walk *)
-    let m = Pcb.member ~id:0 ~send:(fun ~dst:_ _ -> ()) () in
-    Array.iter (fun e -> Pcb.receive m ~src:1 (Pcb.Env e)) pc_envs
+    let m = Pcb.member ~id:0 ~send:(fun _ ~dst:_ -> ()) () in
+    Array.iter
+      (fun e -> Pcb.receive m ~src:1 ~emit:(fun ~dst:_ -> ()) (Pcb.Env e))
+      pc_envs
   in
   let pool = Wire.pool () in
   let bss_meta =
@@ -459,9 +463,9 @@ let member_e2e n =
   let bss_run () =
     let e = Engine.create ~seed:11 () in
     let net = Net.create e ~nodes:n ~fifo:true () in
-    let g = Fgroup.Bss.create net ~enc ~dec () in
+    let g = Bss.Group.create ~codec:(Codec.bss enc dec) net () in
     for r = 0 to rounds - 1 do
-      Fgroup.Bss.bcast g ~src:(r mod n) r;
+      Bss.Group.bcast g ~src:(r mod n) r;
       Engine.run e
     done;
     g
@@ -469,9 +473,9 @@ let member_e2e n =
   let pc_run () =
     let e = Engine.create ~seed:11 () in
     let net = Net.create e ~nodes:n ~fifo:true () in
-    let g = Fgroup.Pc.create ~degree net ~enc ~dec () in
+    let g = Pcb.Group.create ~degree ~codec:(Codec.pc enc dec) net () in
     for r = 0 to rounds - 1 do
-      ignore (Fgroup.Pc.bcast g ~src:(r mod n) r);
+      ignore (Pcb.Group.bcast g ~src:(r mod n) r);
       Engine.run e
     done;
     g
@@ -489,11 +493,11 @@ let member_e2e n =
   in
   let bss_meta, bss_delivered =
     let g = bss_run () in
-    split (Fgroup.Bss.metrics g)
+    split (fun i -> Bss.metrics (Bss.Group.member g i))
   in
   let pc_meta, pc_delivered =
     let g = pc_run () in
-    split (Fgroup.Pc.metrics g)
+    split (fun i -> Pcb.metrics (Pcb.Group.member g i))
   in
   let b = measure (fun () -> ignore (bss_run ())) in
   let p = measure (fun () -> ignore (pc_run ())) in

@@ -165,11 +165,11 @@ let next_envelope t ?(tag = "") payload =
 module Group = struct
   type 'a t = ('a member, 'a envelope) Sgroup.t
 
-  let create net ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
+  let create ?codec net ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
     let n = Net.nodes net in
     let engine = Net.engine net in
-    Sgroup.create net
-      ~member:(fun node ->
+    Sgroup.create ?codec net ~metrics
+      ~member:(fun _ node ->
         let deliver e = on_deliver ~node ~time:(Engine.now engine) e in
         member ~id:node ~group_size:n ~deliver ())
       ~receive
@@ -177,8 +177,7 @@ module Group = struct
   let size = Sgroup.size
 
   let bcast t ~src ?tag payload =
-    let e = next_envelope (Sgroup.member t src) ?tag payload in
-    Net.broadcast (Sgroup.net t) ~src e
+    Sgroup.bcast t ~src (next_envelope (Sgroup.member t src) ?tag payload)
 
   let member = Sgroup.member
 

@@ -51,21 +51,20 @@ val requires : Causalb_stackbase.Guarantee.t
 val clock : 'a member -> Causalb_clock.Vector_clock.t
 (** The member's current vector clock (delivered counts + own sends). *)
 
-val next_envelope : 'a member -> ?tag:string -> 'a -> 'a envelope
-(** Tick the member's send counter and stamp a fresh envelope with its
-    clock — the sending half of {!Group.bcast}, split out so framed
-    transports ({!Causalb_core.Fgroup}) can stamp once, encode once, and
-    hand the frame to [Net.bcast] themselves. *)
-
 (** Group wrapper wiring members over the simulated network. *)
 module Group : sig
   type 'a t
 
   val create :
-    'a envelope Causalb_net.Net.t ->
+    ?codec:'a envelope Causalb_stackbase.Sgroup.codec ->
+    'a envelope Causalb_stackbase.Sgroup.packet Causalb_net.Net.t ->
     ?on_deliver:(node:int -> time:float -> 'a envelope -> unit) ->
     unit ->
     'a t
+  (** With [codec] ([Codec.bss]) every broadcast is encoded once and
+      its members decode one shared view and count the bytes in their
+      {!metrics} ({!Causalb_stackbase.Sgroup}); without, the envelope
+      itself rides the network. *)
 
   val size : 'a t -> int
 

@@ -2,7 +2,7 @@
 
    Layering note: Wire (lib/util) knows nothing about labels, deps or
    clocks — those sit above it — so the per-type codecs live here in
-   lib/core, next to Message/Bss, and Fgroup composes them into the
+   lib/core, next to Message/Bss, and [Sgroup] runs them on the
    encode-once/decode-many delivery path.
 
    The decode side reconstructs values through the same smart
@@ -15,6 +15,7 @@ module Wire = Causalb_util.Wire
 module Vc = Causalb_clock.Vector_clock
 module Label = Causalb_graph.Label
 module Dep = Causalb_graph.Dep
+module Sgroup = Causalb_stackbase.Sgroup
 
 type 'a enc = Wire.writer -> 'a -> unit
 
@@ -124,7 +125,7 @@ let get_message get_payload r =
 
 (* Every envelope codec here puts the application payload last, so one
    writer mark ([Wire.written]) before it splits the frame into control
-   and payload spans — see [encode_split]. *)
+   and payload spans — see [Sgroup.encode]. *)
 let put_envelope_header w (e : 'a Bss.envelope) =
   Wire.uint w e.Bss.sender;
   put_clock w e.Bss.stamp;
@@ -151,14 +152,15 @@ let put_pc_header w (e : 'a Pcbcast.envelope) =
   Wire.uint w e.Pcbcast.seq;
   Wire.str w e.Pcbcast.tag
 
-let put_pc put_payload w = function
+(* Everything but the App payload: control frames ([Lock], barriers,
+   joins) are all control bytes. *)
+let put_pc_control w = function
   | Pcbcast.Lock -> Wire.u8 w 0
   | Pcbcast.Env e -> (
     match e.Pcbcast.body with
-    | Pcbcast.App p ->
+    | Pcbcast.App _ ->
       Wire.u8 w 1;
-      put_pc_header w e;
-      put_payload w p
+      put_pc_header w e
     | Pcbcast.Ctrl (Pcbcast.Unlock { target }) ->
       Wire.u8 w 2;
       put_pc_header w e;
@@ -167,6 +169,14 @@ let put_pc put_payload w = function
       Wire.u8 w 3;
       put_pc_header w e;
       Wire.uint w node)
+
+let put_pc_payload put_payload w = function
+  | Pcbcast.Env { Pcbcast.body = Pcbcast.App p; _ } -> put_payload w p
+  | Pcbcast.Env _ | Pcbcast.Lock -> ()
+
+let put_pc put_payload w v =
+  put_pc_control w v;
+  put_pc_payload put_payload w v
 
 let get_pc get_payload r =
   let env body =
@@ -186,54 +196,12 @@ let get_pc get_payload r =
     env (fun () -> Pcbcast.Ctrl (Pcbcast.Joined { node = Wire.r_uint r }))
   | tag -> raise (Wire.Corrupt (Printf.sprintf "bad pc wire tag %d" tag))
 
-(* --- whole-frame helpers --- *)
+(* --- whole frames --- *)
 
 let encode pool enc v =
   let w = Wire.writer pool in
   enc w v;
   Wire.finish w
-
-(* Encode with the control/payload boundary measured: [header] writes
-   everything up to the payload, [payload] the rest.  Returns the frame
-   and the payload's encoded span; control bytes are the difference. *)
-let encode_split pool ~header ~payload v =
-  let w = Wire.writer pool in
-  header w v;
-  let mark = Wire.written w in
-  payload w v;
-  let span = Wire.written w - mark in
-  (Wire.finish w, span)
-
-(* [put_pc] with the payload span measured in the same pass — only App
-   envelopes carry payload bytes; every other wire case is pure
-   control. *)
-let encode_pc pool put_payload wv =
-  let w = Wire.writer pool in
-  let span =
-    match wv with
-    | Pcbcast.Lock ->
-      Wire.u8 w 0;
-      0
-    | Pcbcast.Env e -> (
-      match e.Pcbcast.body with
-      | Pcbcast.App p ->
-        Wire.u8 w 1;
-        put_pc_header w e;
-        let mark = Wire.written w in
-        put_payload w p;
-        Wire.written w - mark
-      | Pcbcast.Ctrl (Pcbcast.Unlock { target }) ->
-        Wire.u8 w 2;
-        put_pc_header w e;
-        Wire.uint w target;
-        0
-      | Pcbcast.Ctrl (Pcbcast.Joined { node }) ->
-        Wire.u8 w 3;
-        put_pc_header w e;
-        Wire.uint w node;
-        0)
-  in
-  (Wire.finish w, span)
 
 let decode dec frame =
   let r = Wire.reader frame in
@@ -241,23 +209,25 @@ let decode dec frame =
   Wire.expect_end r;
   v
 
-(* --- shared decoded views --- *)
+(* --- group codecs: header, then payload --- *)
 
-type 'a framed = {
-  frame : Wire.frame;
-  payload_bytes : int option;
-      (* encoded span of the application payload within [frame]
-         ([encode_split]); [None] when the producer did not measure —
-         the charge then lands unsplit *)
-  mutable view : 'a option;
-}
+let bss put_payload get_payload =
+  {
+    Sgroup.header = put_envelope_header;
+    payload = (fun w e -> put_payload w e.Bss.payload);
+    decode = get_envelope get_payload;
+  }
 
-let framed ?payload_bytes frame = { frame; payload_bytes; view = None }
+let message put_payload get_payload =
+  {
+    Sgroup.header = put_message_header;
+    payload = (fun w m -> put_payload w (Message.payload m));
+    decode = get_message get_payload;
+  }
 
-let view fr ~dec =
-  match fr.view with
-  | Some v -> v
-  | None ->
-    let v = decode dec fr.frame in
-    fr.view <- Some v;
-    v
+let pc put_payload get_payload =
+  {
+    Sgroup.header = put_pc_control;
+    payload = put_pc_payload put_payload;
+    decode = get_pc get_payload;
+  }

@@ -3,10 +3,11 @@
     {!Causalb_util.Wire} provides the primitives (pooled writers,
     immutable frames, bounds-checked readers); this module provides the
     codecs for the values that actually cross the simulated wire —
-    vector clocks, labels, dependency predicates, [Message.t] and
-    [Bss.envelope] — plus the {!framed} wrapper {!Fgroup} broadcasts, a
-    frame paired with a memoized decoded view so a fan-out of [n] copies
-    decodes once, not [n] times.
+    vector clocks, labels, dependency predicates, [Message.t],
+    [Bss.envelope] and PC-broadcast's wire values — and, for each
+    envelope type, the {!Causalb_stackbase.Sgroup.codec} a group wrapper
+    takes to put its traffic on the wire as frames ({!bss}, {!message},
+    {!pc}).
 
     Every codec is a [put]/[get] pair with [get (put v) = v] (the qcheck
     round-trip property in [test/test_wire.ml]); [get] on a truncated or
@@ -68,7 +69,7 @@ val get_envelope : 'a dec -> 'a Bss.envelope dec
 val put_envelope_header : 'a Bss.envelope enc
 (** Everything but the payload (sender, stamp, tag) — the control span
     of a BSS frame, O(n) because of the stamp.  [put_envelope] is this
-    followed by the payload; pair them through {!encode_split}. *)
+    followed by the payload. *)
 
 val put_pc : 'a enc -> 'a Pcbcast.wire enc
 (** PC-broadcast wire codec: one discriminator byte, then the
@@ -87,39 +88,26 @@ val put_pc_header : 'a Pcbcast.envelope enc
 val encode : Wire.pool -> 'a enc -> 'a -> Wire.frame
 (** One pooled writer, one sealed frame. *)
 
-val encode_pc : Wire.pool -> 'a enc -> 'a Pcbcast.wire -> Wire.frame * int
-(** {!put_pc} with the App payload span measured in the same pass —
-    returns [(frame, payload_bytes)]; control frames measure 0. *)
-
-val encode_split :
-  Wire.pool -> header:'a enc -> payload:'a enc -> 'a -> Wire.frame * int
-(** Encode [header] then [payload] into one frame, measuring the
-    payload's encoded span with a writer mark — no second encode.
-    Returns the frame and the payload byte count; the control share is
-    [Wire.length frame - span].  Feed the span to {!framed} so
-    receivers can charge {!Causalb_stackbase.Metrics.on_wire_split}. *)
-
 val decode : 'a dec -> Wire.frame -> 'a
 (** Decode a whole frame; raises [Wire.Corrupt] on trailing bytes. *)
 
-(** {1 Shared decoded views}
+(** {1 Group codecs}
 
-    The encode-once/decode-many discipline: a broadcast enqueues one
-    {!framed} value to every recipient; the first receiver decodes and
-    the rest reuse the memoized view — zero per-recipient stamp
-    allocation, matching the in-memory sharing the plain groups already
-    rely on (stamps are documented read-only). *)
+    What [Bss.Group.create], [Group.create], [Psync.create] and
+    [Pcbcast.Group.create] take as [?codec]: the envelope's control span
+    as [header], the application payload as [payload] — so
+    {!Causalb_stackbase.Sgroup.encode} measures the split in the one
+    encode pass — and the matching decoder. *)
 
-type 'a framed = {
-  frame : Wire.frame;
-  payload_bytes : int option;
-      (** encoded span of the application payload within [frame], from
-          {!encode_split}; [None] when unmeasured, in which case byte
-          charges stay unsplit *)
-  mutable view : 'a option;
-}
+module Sgroup := Causalb_stackbase.Sgroup
 
-val framed : ?payload_bytes:int -> Wire.frame -> 'a framed
+val bss : 'a enc -> 'a dec -> 'a Bss.envelope Sgroup.codec
+(** [put_envelope]/[get_envelope]; the control span is O(n) because of
+    the stamp. *)
 
-val view : 'a framed -> dec:'a dec -> 'a
-(** The decoded value, decoding (and memoizing) on first use. *)
+val message : 'a enc -> 'a dec -> 'a Message.t Sgroup.codec
+(** [put_message]/[get_message], for OSend and Psync traffic. *)
+
+val pc : 'a enc -> 'a dec -> 'a Pcbcast.wire Sgroup.codec
+(** [put_pc]/[get_pc]; only an App envelope's payload counts as payload
+    bytes. *)

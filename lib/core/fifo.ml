@@ -120,8 +120,8 @@ module Group = struct
     let n = Net.nodes net in
     let engine = Net.engine net in
     let sg =
-      Sgroup.create net
-        ~member:(fun node ->
+      Sgroup.create net ~metrics
+        ~member:(fun _ node ->
           let deliver e = on_deliver ~node ~time:(Engine.now engine) e in
           member ~id:node ~group_size:n ~deliver ())
         ~receive
@@ -133,7 +133,7 @@ module Group = struct
   let bcast t ~src ?(tag = "") payload =
     let seq = t.seqs.(src) in
     t.seqs.(src) <- seq + 1;
-    Net.broadcast (Sgroup.net t.sg) ~src { sender = src; seq; tag; payload }
+    Sgroup.bcast t.sg ~src { sender = src; seq; tag; payload }
 
   let member t i = Sgroup.member t.sg i
 

@@ -38,7 +38,7 @@ module Group : sig
   type 'a t
 
   val create :
-    'a envelope Causalb_net.Net.t ->
+    'a envelope Causalb_stackbase.Sgroup.packet Causalb_net.Net.t ->
     ?on_deliver:(node:int -> time:float -> 'a envelope -> unit) ->
     unit ->
     'a t

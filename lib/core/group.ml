@@ -13,13 +13,13 @@ type 'a t = {
   mutable ancestors : int;
 }
 
-let create net ?trace ?(on_send = fun ~time:_ _ -> ())
+let create ?codec net ?trace ?(on_send = fun ~time:_ _ -> ())
     ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
   let n = Net.nodes net in
   let engine = Net.engine net in
   let sg =
-    Sgroup.create net
-      ~member:(fun node ->
+    Sgroup.create ?codec net ~metrics:Osend.metrics
+      ~member:(fun _ node ->
         let deliver msg =
           let time = Engine.now engine in
           (match trace with
@@ -55,7 +55,7 @@ let send_labelled t ~src ~label ~dep payload =
       ~tag:(Label.to_string label) ()
   | None -> ());
   t.on_send ~time label;
-  Net.broadcast (net t) ~src msg
+  Sgroup.bcast t.sg ~src msg
 
 let osend t ~src ?name ~dep payload =
   let label = next_label t ~src ?name () in

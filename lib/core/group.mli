@@ -12,7 +12,8 @@
 type 'a t
 
 val create :
-  'a Message.t Causalb_net.Net.t ->
+  ?codec:'a Message.t Causalb_stackbase.Sgroup.codec ->
+  'a Message.t Causalb_stackbase.Sgroup.packet Causalb_net.Net.t ->
   ?trace:Causalb_sim.Trace.t ->
   ?on_send:(time:float -> Causalb_graph.Label.t -> unit) ->
   ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
@@ -21,9 +22,12 @@ val create :
 (** Installs a handler on every node of the network.  The network must not
     have other handlers on those nodes.  [on_send] fires for every
     broadcast at the moment it is handed to the transport, whoever
-    initiated it — the hook latency measurement attaches to. *)
+    initiated it — the hook latency measurement attaches to.  With
+    [codec] ([Codec.message]) every broadcast is encoded once and its
+    members decode one shared view and count the bytes in their
+    [Osend.metrics] ({!Causalb_stackbase.Sgroup}). *)
 
-val net : 'a t -> 'a Message.t Causalb_net.Net.t
+val net : 'a t -> 'a Message.t Causalb_stackbase.Sgroup.packet Causalb_net.Net.t
 
 val size : 'a t -> int
 

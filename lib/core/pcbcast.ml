@@ -88,7 +88,8 @@ type 'a member = {
   unlocked : (int, unit) Hashtbl.t;
       (* openers whose barrier already delivered — a [Lock] arriving
          after its own [Unlock] (links race) must not re-buffer forever *)
-  send : dst:int -> 'a wire -> unit;
+  send : 'a wire -> dst:int -> unit;
+      (* [send w] builds one packet; each [~dst] sends a copy of it *)
   mutable own_seq : int;
   mutable arrivals : int;
   mutable tags_rev : string list;
@@ -139,7 +140,7 @@ let wake t key woken =
       Fqueue.iter (fun w -> woken := w :: !woken) bucket
 
 let rec open_link t ~to_ =
-  t.send ~dst:to_ Lock;
+  t.send Lock ~dst:to_;
   t.peers <- to_ :: t.peers;
   (* The barrier travels causally through the old overlay — it is an
      ordinary broadcast, flooded like any app message.  [to_] buffers
@@ -166,7 +167,7 @@ and next_envelope_body t ?(tag = "") body =
 
 and bcast_body t ?tag body =
   let e, label = next_envelope_body t ?tag body in
-  publish t e ~emit:(fun ~dst -> t.send ~dst (Env e));
+  publish t e ~emit:(t.send (Env e));
   label
 
 (* Flood-then-deliver for a message of our own: the origin is hop zero
@@ -255,18 +256,13 @@ and handle_env t ~src ~emit e =
     do_deliver t woken e;
     drain t !woken
 
-let receive t ~src ?emit w =
+let receive t ~src ~emit w =
   Metrics.on_receive t.metrics;
   match w with
   | Lock ->
     if Hashtbl.mem t.unlocked src || Hashtbl.mem t.locked src then ()
     else Hashtbl.replace t.locked src (Fqueue.create ())
   | Env e -> (
-    let emit =
-      match emit with
-      | Some f -> f
-      | None -> fun ~dst -> t.send ~dst (Env e)
-    in
     match Hashtbl.find_opt t.locked src with
     | Some bucket ->
       Metrics.on_buffer t.metrics;
@@ -328,8 +324,8 @@ module Group = struct
     mutable alive : bool array; (* indexed by member id, grows on join *)
   }
 
-  let wire_member g net ?on_deliver ?on_causal node =
-    let engine = Net.engine net in
+  let wire_member g ?on_deliver ?on_causal sg node =
+    let engine = Sgroup.engine sg in
     let deliver =
       match on_deliver with
       | None -> fun _ -> ()
@@ -340,17 +336,16 @@ module Group = struct
       | None -> fun _ -> ()
       | Some f -> fun label -> f ~node ~label
     in
-    let send ~dst w = Net.send net ~src:node ~dst w in
-    let m = member ~id:node ~send ~deliver ~on_causal ~graph:g () in
-    m
+    member ~id:node ~send:(Sgroup.fanout sg ~src:node) ~deliver ~on_causal
+      ~graph:g ()
 
-  let create ?degree net ?on_deliver ?on_causal () =
+  let create ?degree ?codec net ?on_deliver ?on_causal () =
     let n = Net.nodes net in
     let graph = Depgraph.create () in
     let sg =
-      Sgroup.create_routed net
-        ~member:(wire_member graph net ?on_deliver ?on_causal)
-        ~receive:(fun m ~src w -> receive m ~src w)
+      Sgroup.create_routed ?codec net ~metrics
+        ~member:(wire_member graph ?on_deliver ?on_causal)
+        ~receive
     in
     let t = { sg; graph; alive = Array.make n true } in
     Array.iter

@@ -61,7 +61,7 @@ type 'a member
 
 val member :
   id:int ->
-  send:(dst:int -> 'a wire -> unit) ->
+  send:('a wire -> dst:int -> unit) ->
   ?deliver:('a envelope -> unit) ->
   ?on_causal:(Label.t -> unit) ->
   ?graph:Depgraph.t ->
@@ -69,15 +69,19 @@ val member :
   'a member
 (** A standalone member (no peers, no links) — the unit under test for
     the receive-path microbench and the member-local scaling sweep.
+    [send w ~dst] puts a copy of [w] on the link to [dst]; the member
+    applies [send w] once per flood and reuses it for every out-link,
+    so a sender that encodes in [send w] encodes once per broadcast
+    ({!Group} passes {!Causalb_stackbase.Sgroup.fanout}).
     [deliver] fires for application bodies only; [on_causal] for every
     causal delivery, control barriers included.  [graph] shares an
     audit graph across members ({!Group} passes one). *)
 
-val receive : 'a member -> src:int -> ?emit:(dst:int -> unit) -> 'a wire -> unit
-(** Process one copy arriving on the link from [src].  [emit] resends
-    this exact physical copy to another link — the framed path passes a
-    frame-sharing closure so flooding never re-serializes; when absent
-    the decoded value is re-sent. *)
+val receive : 'a member -> src:int -> emit:(dst:int -> unit) -> 'a wire -> unit
+(** Process one copy arriving on the link from [src].  [emit ~dst]
+    resends this exact physical copy to another link when the flood
+    forwards it — {!Group} passes the packet-sharing closure of
+    {!Causalb_stackbase.Sgroup}, so flooding never re-serializes. *)
 
 val bcast_member : 'a member -> ?tag:string -> 'a -> Label.t
 (** Broadcast from this member: flood to its out-links, deliver locally,
@@ -85,13 +89,10 @@ val bcast_member : 'a member -> ?tag:string -> 'a -> Label.t
     with its true potential-causality dependencies). *)
 
 val next_envelope : 'a member -> ?tag:string -> 'a -> 'a envelope * Label.t
-(** The encode-once seam: assign the next sequence number and record the
-    audit dependencies, but do not send — the caller encodes the
-    envelope once and then {!publish}es it. *)
-
-val publish : 'a member -> 'a envelope -> emit:(dst:int -> unit) -> unit
-(** Flood [emit] to every out-link, then deliver locally.  Pair with
-    {!next_envelope}; plain callers use {!bcast_member} instead. *)
+(** The envelope {!bcast_member} would send next — sequence number
+    assigned and audit dependencies recorded — without sending it.
+    Tests and the receive-path microbench feed these to other members
+    by hand. *)
 
 val member_id : 'a member -> int
 
@@ -116,7 +117,7 @@ val init_static : 'a member -> n:int -> degree:int option -> unit
 (** Configure a founding member of a static group: overlay links from
     {!peers_for} and per-origin cursors at 0 for all [n] initial origins
     (static membership is common knowledge, so adopt-first never fires
-    among founders).  {!Group.create} and the framed group call this. *)
+    among founders).  {!Group.create} calls this. *)
 
 (** Group wrapper: one member per network node, flooding over a static
     overlay, with dynamic join/leave. *)
@@ -125,7 +126,8 @@ module Group : sig
 
   val create :
     ?degree:int ->
-    'a wire Causalb_net.Net.t ->
+    ?codec:'a wire Causalb_stackbase.Sgroup.codec ->
+    'a wire Causalb_stackbase.Sgroup.packet Causalb_net.Net.t ->
     ?on_deliver:(node:int -> time:float -> 'a envelope -> unit) ->
     ?on_causal:(node:int -> label:Label.t -> unit) ->
     unit ->
@@ -134,9 +136,15 @@ module Group : sig
       overlay ({!peers_for}); the default full mesh is right for
       correctness runs, the sparse one for scale.  The network must be
       FIFO ([Net.create ~fifo:true]) — PC-broadcast over a non-FIFO
-      transport is unsound, and the stack verifier will flag it. *)
+      transport is unsound, and the stack verifier will flag it.
 
-  val net : 'a t -> 'a wire Causalb_net.Net.t
+      With [codec] ([Codec.pc]) a broadcast is encoded once — two varints
+      of control header whatever the group size — every hop of the flood
+      forwards that same frame, and members count the control/payload
+      bytes in their {!metrics} ({!Causalb_stackbase.Sgroup}).  Joins and
+      leaves work the same either way. *)
+
+  val net : 'a t -> 'a wire Causalb_stackbase.Sgroup.packet Causalb_net.Net.t
 
   val size : 'a t -> int
   (** Members ever created, departed ones included. *)

@@ -26,12 +26,13 @@ let note_received m (msg : 'a Message.t) =
     Label.Set.add (Message.label msg)
       (List.fold_left (fun acc a -> Label.Set.remove a acc) m.leaves ancestors)
 
-let create net ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
+let create ?codec net ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
   let n = Net.nodes net in
   let engine = Net.engine net in
   let sg =
-    Sgroup.create net
-      ~member:(fun id ->
+    Sgroup.create ?codec net
+      ~metrics:(fun m -> Osend.metrics m.engine_member)
+      ~member:(fun _ id ->
         let deliver msg = on_deliver ~node:id ~time:(Engine.now engine) msg in
         {
           id;
@@ -60,7 +61,7 @@ let send t ~src ?name payload =
      leaf *)
   note_received m msg;
   Osend.receive m.engine_member msg;
-  Net.broadcast (Sgroup.net t.sg) ~src ~self:false msg;
+  Sgroup.bcast t.sg ~src ~self:false msg;
   label
 
 let member t i = (Sgroup.member t.sg i).engine_member

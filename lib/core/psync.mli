@@ -24,10 +24,15 @@ type 'a t
 type 'a member
 
 val create :
-  'a Message.t Causalb_net.Net.t ->
+  ?codec:'a Message.t Causalb_stackbase.Sgroup.codec ->
+  'a Message.t Causalb_stackbase.Sgroup.packet Causalb_net.Net.t ->
   ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
   unit ->
   'a t
+(** With [codec] ([Codec.message]) the remote copies of every send ride
+    one shared frame and count their bytes in the members' {!metrics}
+    ({!Causalb_stackbase.Sgroup}); the sender's own copy is always
+    processed in memory. *)
 
 val size : 'a t -> int
 

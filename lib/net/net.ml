@@ -295,17 +295,6 @@ let broadcast t ~src ?(self = true) ?(size = 1) payload =
     Engine.schedule t.engine ~delay:0.0 p.fire
   end
 
-(* Batched fan-out entry point for pre-encoded frames: [payload] is one
-   immutable value (typically a [Causalb_util.Wire.frame] or a framed
-   record wrapping one) enqueued to every recipient — the fan-out shares
-   the pointer, never re-serializes, and reuses pooled packets.  The copy
-   loop is [broadcast]'s own, so the RNG draw sequence (drop/latency/
-   jitter/dup per copy) is identical to an unframed broadcast of the same
-   shape — the property the framed-vs-plain same-seed equivalence tests
-   rely on.  [size] is mandatory: the frame's wire length, charged to the
-   byte accounting once per copy. *)
-let bcast t ~src ?self ~size payload = broadcast t ~src ?self ~size payload
-
 let set_fault t fault = t.fault <- fault
 
 let partition t cells =

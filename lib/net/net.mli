@@ -65,16 +65,6 @@ val broadcast : 'a t -> src:int -> ?self:bool -> ?size:int -> 'a -> unit
     message.  The self copy counts in {!messages_sent} {e and}
     {!bytes_sent}, exactly like a remote copy. *)
 
-val bcast : 'a t -> src:int -> ?self:bool -> size:int -> 'a -> unit
-(** Batched fan-out for pre-encoded frames: the same copy loop as
-    {!broadcast} (identical per-copy RNG draw order, pooled packets, one
-    shared payload pointer for all recipients), but [size] is mandatory —
-    callers pass the frame's encoded length so {!bytes_sent} counts real
-    wire bytes instead of the abstract default.  Serialize once with
-    [Causalb_util.Wire], then hand the frame here; recipients decode a
-    shared view ([Causalb_core.Codec.view]) rather than re-allocating
-    stamps per copy. *)
-
 val set_fault : 'a t -> Fault.t -> unit
 
 val partition : 'a t -> int list list -> unit

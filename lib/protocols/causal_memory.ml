@@ -15,7 +15,7 @@ type node_state = {
 
 type t = {
   engine : Engine.t;
-  group : write_op Bss.envelope Net.t;
+  net : write_op Bss.envelope Causalb_stackbase.Sgroup.packet Net.t;
   bss : write_op Bss.Group.t;
   nodes : node_state array;
   wseqs : int array;
@@ -37,7 +37,7 @@ let create engine ~nodes:n ?(latency = Latency.lan) () =
         st.applied_rev <- (w, e.Bss.stamp) :: st.applied_rev)
       ()
   in
-  { engine; group = net; bss; nodes = states; wseqs = Array.make n 0; n }
+  { engine; net; bss; nodes = states; wseqs = Array.make n 0; n }
 
 let write t ~node ~var value =
   let wseq = t.wseqs.(node) in
@@ -100,4 +100,4 @@ let divergent_vars t =
   in
   List.filter (fun var -> not (nodes_agree_on t ~var)) vars
 
-let messages_sent t = Net.messages_sent t.group
+let messages_sent t = Net.messages_sent t.net

@@ -37,11 +37,8 @@ let on_buffer t =
 
 let on_unbuffer t = t.buffered <- t.buffered - 1
 
-let on_wire t n = t.wire_bytes <- t.wire_bytes + n
-
 (* The split charge keeps [wire_bytes] as the sum, so a consumer that
-   only knows the v3 field reconciles: wire = control + payload + any
-   unsplit [on_wire] charges. *)
+   only knows the v3 field reconciles: wire = control + payload. *)
 let on_wire_split t ~control ~payload =
   t.control_bytes <- t.control_bytes + control;
   t.payload_bytes <- t.payload_bytes + payload;

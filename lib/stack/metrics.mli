@@ -25,11 +25,11 @@ type t = {
           buffer — the T6 counter, uniform across engines *)
   mutable buffered : int;  (** currently held by the layer *)
   mutable wire_bytes : int;
-      (** encoded bytes this layer moved over the wire — fed by the
-          framed delivery path ({!Causalb_core.Fgroup}); zero for
-          in-memory groups, which never serialize.  Always the sum of
-          {!field-control_bytes}, {!field-payload_bytes}, and any
-          unsplit {!on_wire} charges, so pre-split consumers reconcile *)
+      (** encoded bytes this layer moved over the wire — charged per
+          received copy by a group created with a codec
+          ({!Causalb_stackbase.Sgroup}); zero for in-memory groups,
+          which never serialize.  Always the sum of
+          {!field-control_bytes} and {!field-payload_bytes} *)
   mutable control_bytes : int;
       (** the metadata share of [wire_bytes]: headers, stamps, causal
           barriers — O(n) per copy for vector-clock engines, O(1) for
@@ -52,12 +52,6 @@ val on_buffer : t -> unit
 
 val on_unbuffer : t -> unit
 (** Lower the buffered gauge when a parked message is released. *)
-
-val on_wire : t -> int -> unit
-(** Charge [n] encoded bytes to the layer (one frame length per
-    delivered copy on the framed path).  Unsplit: the bytes land in
-    [wire_bytes] only.  Prefer {!on_wire_split} where the frame layout
-    is known. *)
 
 val on_wire_split : t -> control:int -> payload:int -> unit
 (** Charge one copy's bytes split into metadata and application data.

@@ -3,24 +3,18 @@
    Two layers of guarantees:
    - same-seed replays under a nemesis schedule (partition/heal plus a
      loss/dup/jitter phase) are byte-identical and oracle-clean for
-     every shipped composition, plain and framed — faults never make a
-     run less reproducible;
+     every shipped composition and every group with a codec, plain and
+     framed — faults never make a run less reproducible;
    - the campaign machinery itself is deterministic (generation, case
      verdicts, parallel sweeps) and its planted-bug self-test finds and
      shrinks a known violation. *)
 
-module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
 module Trace = Causalb_sim.Trace
 module Net = Causalb_net.Net
 module Fault = Causalb_net.Fault
 module Nemesis = Causalb_net.Nemesis
 module Dep = Causalb_graph.Dep
-module Bss = Causalb_core.Bss
-module Psync = Causalb_core.Psync
-module Group = Causalb_core.Group
-module Fgroup = Causalb_core.Fgroup
-module Codec = Causalb_core.Codec
 module D = Causalb_harness.Drivers
 module C = Causalb_harness.Campaign
 
@@ -83,129 +77,63 @@ let test_stack_replay_identical () =
 
 (* --- same-seed determinism under faults: the framed groups ----------- *)
 
-(* The framed engines do not ride the stack driver, so they get their
+(* Groups with a codec do not ride the stack driver, so they get their
    own replay harness: a traced net with the nemesis installed directly
-   ([Nemesis.install_net]), plus the plain sibling group run under the
-   identical seed and schedule — [Net.bcast] makes exactly the draws
-   [Net.broadcast] makes, so delivered tags must agree even mid-fault. *)
-
-let nodes = 3
-
-let ops = 40
-
-let schedule_ops engine f =
-  for i = 0 to ops - 1 do
-    Engine.schedule_at engine ~time:(0.5 *. float_of_int i) (fun () -> f i)
-  done;
-  Engine.run engine
-
-let traced_net seed =
-  let engine = Engine.create ~seed () in
-  let trace = Trace.create () in
-  let net = Net.create engine ~nodes ~latency:Latency.lan ~trace () in
-  Nemesis.install_net net nemesis_schedule;
-  (engine, net, trace)
-
-let bss_framed seed =
-  let engine, net, trace = traced_net seed in
-  let g = Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
-        (Printf.sprintf "p%d" i));
-  (render trace, List.init nodes (Fgroup.Bss.delivered_tags g))
-
-let bss_plain seed =
-  let engine, net, _ = traced_net seed in
-  let g = Bss.Group.create net () in
-  schedule_ops engine (fun i ->
-      Bss.Group.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
-        (Printf.sprintf "p%d" i));
-  List.init nodes (Bss.Group.delivered_tags g)
-
-let psync_framed seed =
-  let engine, net, trace = traced_net seed in
-  let g = Fgroup.Psync.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Fgroup.Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  ( render trace,
-    List.map
-      (List.map Causalb_graph.Label.to_string)
-      (Fgroup.Psync.all_delivered_orders g) )
-
-let psync_plain seed =
-  let engine, net, _ = traced_net seed in
-  let g = Psync.create net () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  List.map
-    (List.map Causalb_graph.Label.to_string)
-    (Psync.all_delivered_orders g)
+   ([Nemesis.install_net]), plus the plain run of the same group under
+   the identical seed and schedule — a framed send makes exactly the
+   draws a plain one makes, so delivered orders must agree even
+   mid-fault. *)
 
 (* A dependency chain through rotating senders: every third message
    anchors the next two, so partitions genuinely block descendants. *)
-let osend_framed seed =
-  let engine, net, trace = traced_net seed in
-  let g = Fgroup.Osend.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  let anchor = ref Dep.null in
-  schedule_ops engine (fun i ->
-      let lbl =
-        Fgroup.Osend.osend g ~src:(i mod nodes)
-          ~name:(Printf.sprintf "m%d" i) ~dep:!anchor
-          (Printf.sprintf "p%d" i)
-      in
-      if i mod 3 = 0 then anchor := Dep.after lbl);
-  ( render trace,
-    List.map
-      (List.map Causalb_graph.Label.to_string)
-      (Fgroup.Osend.all_delivered_orders g) )
+let framed_workload =
+  {
+    Framed_table.nodes = 3;
+    ops = 40;
+    dep = (fun sent i -> if i = 0 then Dep.null else Dep.after sent.((i - 1) / 3 * 3));
+  }
 
-let osend_plain seed =
-  let engine, net, _ = traced_net seed in
-  let g = Group.create net () in
-  let anchor = ref Dep.null in
-  schedule_ops engine (fun i ->
-      let lbl =
-        Group.osend g ~src:(i mod nodes) ~name:(Printf.sprintf "m%d" i)
-          ~dep:!anchor
-          (Printf.sprintf "p%d" i)
-      in
-      if i mod 3 = 0 then anchor := Dep.after lbl);
-  List.map
-    (List.map Causalb_graph.Label.to_string)
-    (Group.all_delivered_orders g)
+(* Returns the net maker and the trace it records into. *)
+let traced_nets () =
+  let trace = Trace.create () in
+  let make engine =
+    let net =
+      Net.create engine ~nodes:framed_workload.Framed_table.nodes
+        ~latency:Latency.lan ~trace ()
+    in
+    Nemesis.install_net net nemesis_schedule;
+    net
+  in
+  ({ Framed_table.make }, trace)
+
+let faulted_framed_run (e : Framed_table.engine) ~framed seed =
+  let nets, trace = traced_nets () in
+  let r = e.Framed_table.run ~framed framed_workload nets ~seed in
+  (render trace, r.Framed_table.delivered)
 
 let test_framed_replay_identical () =
   List.iter
     (fun seed ->
-      let t1, o1 = bss_framed seed in
-      let t2, o2 = bss_framed seed in
-      check_str "bss framed: replayed trace identical" t1 t2;
-      check "bss framed: replayed orders identical" true (o1 = o2);
-      let t1, o1 = psync_framed seed in
-      let t2, o2 = psync_framed seed in
-      check_str "psync framed: replayed trace identical" t1 t2;
-      check "psync framed: replayed orders identical" true (o1 = o2);
-      let t1, o1 = osend_framed seed in
-      let t2, o2 = osend_framed seed in
-      check_str "osend framed: replayed trace identical" t1 t2;
-      check "osend framed: replayed orders identical" true (o1 = o2))
+      List.iter
+        (fun (e : Framed_table.engine) ->
+          let name = e.Framed_table.name ^ " framed" in
+          let t1, o1 = faulted_framed_run e ~framed:true seed in
+          let t2, o2 = faulted_framed_run e ~framed:true seed in
+          check_str (name ^ ": replayed trace identical") t1 t2;
+          check (name ^ ": replayed orders identical") true (o1 = o2))
+        Framed_table.engines)
     [ 11; 2026 ]
 
 let test_framed_equals_plain_under_faults () =
   List.iter
     (fun seed ->
-      let _, framed = bss_framed seed in
-      check "bss framed = plain under nemesis" true (framed = bss_plain seed);
-      let _, framed = psync_framed seed in
-      check "psync framed = plain under nemesis" true
-        (framed = psync_plain seed);
-      let _, framed = osend_framed seed in
-      check "osend framed = plain under nemesis" true
-        (framed = osend_plain seed))
+      List.iter
+        (fun (e : Framed_table.engine) ->
+          let _, framed = faulted_framed_run e ~framed:true seed in
+          let _, plain = faulted_framed_run e ~framed:false seed in
+          check (e.Framed_table.name ^ " framed = plain under nemesis") true
+            (framed = plain))
+        Framed_table.engines)
     [ 11; 2026 ]
 
 (* --- the campaign machinery ----------------------------------------- *)

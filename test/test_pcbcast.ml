@@ -1,6 +1,6 @@
 (* PC-broadcast: constant-size causal metadata + dynamic membership.
 
-   Four layers of assurance:
+   Five layers of assurance:
 
    1. Member mechanics: FIFO parking (a future seq waits, never skips),
       per-origin dedup of flooded duplicates, the adopt-first baseline.
@@ -12,7 +12,9 @@
       driver's oracle stays clean on a mixed schedule.
    4. PC vs BSS: same seed, same workload — both causal engines deliver
       the same message sets at every node (the orders may legitimately
-      interleave concurrent messages differently, so sets, not bytes). *)
+      interleave concurrent messages differently, so sets, not bytes).
+   5. Framing under churn: with its codec, a group running joins and
+      leaves delivers exactly what the plain group delivers. *)
 
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
@@ -20,7 +22,7 @@ module Net = Causalb_net.Net
 module Nemesis = Causalb_net.Nemesis
 module Pcb = Causalb_core.Pcbcast
 module Codec = Causalb_core.Codec
-module Fgroup = Causalb_core.Fgroup
+module Dep = Causalb_graph.Dep
 module D = Causalb_harness.Drivers
 
 let check = Alcotest.(check bool)
@@ -30,7 +32,10 @@ let w ops = { D.ops; spacing = 0.5; mix = D.Fixed_window 4 }
 
 (* --- 1. member mechanics --- *)
 
-let silent ~dst:_ _ = ()
+let silent _ ~dst:_ = ()
+
+(* what a standalone member's flood forwards goes nowhere *)
+let drop ~dst:_ = ()
 
 let test_parking_restores_fifo () =
   let sender = Pcb.member ~id:1 ~send:silent () in
@@ -38,10 +43,10 @@ let test_parking_restores_fifo () =
   let e1, _ = Pcb.next_envelope sender ~tag:"b" 1 in
   let m = Pcb.member ~id:0 ~send:silent () in
   Pcb.init_static m ~n:2 ~degree:None;
-  Pcb.receive m ~src:1 (Pcb.Env e1);
+  Pcb.receive m ~src:1 ~emit:drop (Pcb.Env e1);
   check_int "future seq parks" 0 (Pcb.delivered_count m);
   check_int "one parked copy" 1 (Pcb.pending_count m);
-  Pcb.receive m ~src:1 (Pcb.Env e0);
+  Pcb.receive m ~src:1 ~emit:drop (Pcb.Env e0);
   check_int "gap filled, both delivered" 2 (Pcb.delivered_count m);
   check_int "nothing left parked" 0 (Pcb.pending_count m)
 
@@ -52,8 +57,8 @@ let test_duplicate_copies_deliver_once () =
   Pcb.init_static m ~n:2 ~degree:None;
   (* the same physical message arrives on two links, as flooding makes
      it do — the per-origin cursor must deliver exactly one copy *)
-  Pcb.receive m ~src:1 (Pcb.Env e0);
-  Pcb.receive m ~src:2 (Pcb.Env e0);
+  Pcb.receive m ~src:1 ~emit:drop (Pcb.Env e0);
+  Pcb.receive m ~src:2 ~emit:drop (Pcb.Env e0);
   check_int "one delivery" 1 (Pcb.delivered_count m)
 
 let test_adopt_first_baseline () =
@@ -66,8 +71,8 @@ let test_adopt_first_baseline () =
   let e5, _ = Pcb.next_envelope sender 0 in
   let e6, _ = Pcb.next_envelope sender 0 in
   let m = Pcb.member ~id:0 ~send:silent () in
-  Pcb.receive m ~src:1 (Pcb.Env e5);
-  Pcb.receive m ~src:1 (Pcb.Env e6);
+  Pcb.receive m ~src:1 ~emit:drop (Pcb.Env e5);
+  Pcb.receive m ~src:1 ~emit:drop (Pcb.Env e6);
   check_int "stream adopted mid-flight" 2 (Pcb.delivered_count m)
 
 (* --- 2. static groups under the oracle --- *)
@@ -88,15 +93,18 @@ let test_sparse_overlay_reaches_everyone () =
   let n = 24 in
   let e = Engine.create ~seed:7 () in
   let net = Net.create e ~nodes:n ~latency:Latency.lan ~fifo:true () in
-  let g = Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int () in
+  let g =
+    Pcb.Group.create ~degree:4 ~codec:(Codec.pc Codec.put_int Codec.get_int)
+      net ()
+  in
   for i = 0 to 5 do
     Engine.schedule_at e ~time:(float_of_int i) (fun () ->
-        ignore (Fgroup.Pc.bcast g ~src:(i mod n) ~tag:(Printf.sprintf "op%d" i) i))
+        ignore (Pcb.Group.bcast g ~src:(i mod n) ~tag:(Printf.sprintf "op%d" i) i))
   done;
   Engine.run e;
   for i = 0 to n - 1 do
     check_int "member saw all broadcasts" 6
-      (List.length (Fgroup.Pc.delivered_tags g i))
+      (List.length (Pcb.Group.delivered_tags g i))
   done
 
 (* --- 3. dynamic membership --- *)
@@ -164,42 +172,76 @@ let test_churn_schedule_oracle_clean () =
    may interleave concurrent messages differently (different metadata,
    different admissible schedules), so the comparison is per-node sets,
    deliberately not byte-for-byte transcripts. *)
-let delivered_sets run_tags ~nodes = List.init nodes (fun i -> List.sort compare (run_tags i))
-
 let test_pc_vs_bss_same_delivered_sets () =
-  let nodes = 4 and ops = 32 in
+  let w = { Framed_table.nodes = 4; ops = 32; dep = (fun _ _ -> Dep.null) } in
+  let nets =
+    {
+      Framed_table.make =
+        (fun e -> Net.create e ~nodes:w.Framed_table.nodes ~latency:Latency.lan ());
+    }
+  in
   List.iter
     (fun seed ->
-      let tag i = Printf.sprintf "op%d" i in
-      let bss =
-        let e = Engine.create ~seed () in
-        let net = Net.create e ~nodes ~latency:Latency.lan ~fifo:true () in
-        let g = Fgroup.Bss.create net ~enc:Codec.put_int ~dec:Codec.get_int () in
-        for i = 0 to ops - 1 do
-          Engine.schedule_at e ~time:(0.5 *. float_of_int i) (fun () ->
-              Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(tag i) i)
-        done;
-        Engine.run e;
-        delivered_sets (Fgroup.Bss.delivered_tags g) ~nodes
+      let sets (e : Framed_table.engine) =
+        let r = e.Framed_table.run ~framed:true w nets ~seed in
+        List.map (List.sort compare) r.Framed_table.delivered
       in
-      let pc =
-        let e = Engine.create ~seed () in
-        let net = Net.create e ~nodes ~latency:Latency.lan ~fifo:true () in
-        let g = Fgroup.Pc.create net ~enc:Codec.put_int ~dec:Codec.get_int () in
-        for i = 0 to ops - 1 do
-          Engine.schedule_at e ~time:(0.5 *. float_of_int i) (fun () ->
-              ignore (Fgroup.Pc.bcast g ~src:(i mod nodes) ~tag:(tag i) i))
-        done;
-        Engine.run e;
-        delivered_sets (Fgroup.Pc.delivered_tags g) ~nodes
-      in
-      let all = List.sort compare (List.init ops tag) in
+      let bss = sets Framed_table.bss and pc = sets Framed_table.pc in
+      let all = List.sort compare (List.init w.Framed_table.ops Framed_table.tag) in
       check "bss delivered everything everywhere" true
         (List.for_all (( = ) all) bss);
       check "pc delivered everything everywhere" true
         (List.for_all (( = ) all) pc);
       check "pc sets = bss sets" true (pc = bss))
     [ 2; 13; 77 ]
+
+(* --- 5. framing under churn --- *)
+
+(* A group with a codec runs the same π_lock join/leave protocol as the
+   plain group: Lock, Unlock and Joined frames are encoded like any
+   other traffic.  Same seed, same churn schedule: every member —
+   joiners included — must deliver the same tags in the same order. *)
+let churn_run ~framed seed =
+  let e = Engine.create ~seed () in
+  let net = Net.create e ~nodes:4 ~latency:Latency.lan ~fifo:true () in
+  let codec = if framed then Some (Codec.pc Codec.put_int Codec.get_int) else None in
+  let g = Pcb.Group.create ?codec net () in
+  Nemesis.install ~engine:e
+    ~partition:(fun cells -> Net.partition net cells)
+    ~heal:(fun () -> Net.heal net)
+    ~set_fault:(fun f -> Net.set_fault net f)
+    ~join:(fun ~contact -> ignore (Pcb.Group.join g ~contact))
+    ~leave:(fun node -> Pcb.Group.leave g node)
+    [
+      { Nemesis.at = 3.0; action = Nemesis.Join { contact = 0 } };
+      { Nemesis.at = 8.0; action = Nemesis.Leave 1 };
+      { Nemesis.at = 11.0; action = Nemesis.Join { contact = 2 } };
+    ];
+  for i = 0 to 39 do
+    Engine.schedule_at e ~time:(0.5 *. float_of_int i) (fun () ->
+        match Pcb.Group.alive g with
+        | [] -> ()
+        | al ->
+          let src = List.nth al (i mod List.length al) in
+          ignore (Pcb.Group.bcast g ~src ~tag:(Printf.sprintf "op%d" i) i))
+  done;
+  Engine.run e;
+  (List.init (Pcb.Group.size g) (Pcb.Group.delivered_tags g), g)
+
+let test_framed_churn_equals_plain () =
+  List.iter
+    (fun seed ->
+      let plain, _ = churn_run ~framed:false seed in
+      let framed, g = churn_run ~framed:true seed in
+      check_int "both joins happened" 6 (List.length framed);
+      check "framed tags = plain tags at every member" true (framed = plain);
+      let joiner = List.nth framed 4 in
+      check "first joiner delivered post-join traffic" true
+        (List.mem "op39" joiner && not (List.mem "op0" joiner));
+      check "joiner's links carried frames" true
+        ((Pcb.metrics (Pcb.Group.member g 5)).Causalb_stackbase.Metrics.wire_bytes
+        > 0))
+    [ 5; 9; 2026 ]
 
 let () =
   Alcotest.run "pcbcast"
@@ -233,5 +275,10 @@ let () =
         [
           Alcotest.test_case "same delivered sets" `Quick
             test_pc_vs_bss_same_delivered_sets;
+        ] );
+      ( "framed",
+        [
+          Alcotest.test_case "churn framed = plain" `Quick
+            test_framed_churn_equals_plain;
         ] );
     ]

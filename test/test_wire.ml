@@ -12,25 +12,23 @@
       codec hop in front of the indexed BSS engine changes nothing
       against the frozen seed oracle in [Causalb_reference].
 
-   3. Fgroup: a framed group run is envelope-for-envelope identical to
-      the plain group run for the same seed and workload — encode-once/
-      decode-many is an optimisation, not a semantics change — and the
-      byte accounting (Metrics.wire_bytes, Net.bytes_sent) moves by real
-      frame lengths. *)
+   3. Framed groups: for BSS, OSend, Psync and PC, a group run with its
+      codec is envelope-for-envelope identical to the plain run for the
+      same seed and workload — encode-once/decode-many is an
+      optimisation, not a semantics change — and the byte accounting
+      (Metrics.wire_bytes, Net.bytes_sent) moves by real frame
+      lengths. *)
 
 module Wire = Causalb_util.Wire
 module Label = Causalb_graph.Label
 module Dep = Causalb_graph.Dep
 module Vc = Causalb_clock.Vector_clock
-module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
 module Net = Causalb_net.Net
 module Message = Causalb_core.Message
 module Codec = Causalb_core.Codec
 module Bss = Causalb_core.Bss
-module Group = Causalb_core.Group
-module Psync = Causalb_core.Psync
-module Fgroup = Causalb_core.Fgroup
+module Sgroup = Causalb_stackbase.Sgroup
 module Pcb = Causalb_core.Pcbcast
 module Rbss = Causalb_reference.Bss
 module Metrics = Causalb_stackbase.Metrics
@@ -227,17 +225,26 @@ let prop_pc_roundtrip =
 
 (* The split the metrics layer charges: an App frame's control span is
    the whole frame minus the payload bytes; control frames are all
-   control.  [encode_pc] must agree with what [put_pc] writes. *)
+   control.  [Codec.pc] split into header and payload must write exactly
+   what [put_pc] writes. *)
 let test_pc_encode_split () =
+  let codec = Codec.pc Codec.put_str Codec.get_str in
+  let encode w =
+    let fr = Sgroup.encode pool codec w in
+    (fr.Sgroup.frame, fr.Sgroup.payload_bytes)
+  in
   let app =
     Pcb.Env { Pcb.origin = 3; seq = 9; tag = "t"; body = Pcb.App "payload" }
   in
-  let frame, span = Codec.encode_pc pool Codec.put_str app in
+  let frame, span = encode app in
   check "pc app payload span positive" true (span > 0);
   check "pc app span < frame" true (span < Wire.length frame);
   check "pc app decodes" true
     (Codec.decode (Codec.get_pc Codec.get_str) frame = app);
-  let lock_frame, lock_span = Codec.encode_pc pool Codec.put_str Pcb.Lock in
+  check "pc split frame = put_pc frame" true
+    (Wire.to_string frame
+    = Wire.to_string (Codec.encode pool (Codec.put_pc Codec.put_str) app));
+  let lock_frame, lock_span = encode Pcb.Lock in
   check_int "pc lock is all control" 0 lock_span;
   check "pc lock decodes" true
     (Codec.decode (Codec.get_pc Codec.get_str) lock_frame = Pcb.Lock);
@@ -245,7 +252,7 @@ let test_pc_encode_split () =
     Pcb.Env
       { Pcb.origin = 1; seq = 0; tag = ""; body = Pcb.Ctrl (Pcb.Joined { node = 5 }) }
   in
-  let _, ctrl_span = Codec.encode_pc pool Codec.put_str ctrl in
+  let _, ctrl_span = encode ctrl in
   check_int "pc ctrl is all control" 0 ctrl_span
 
 (* --- truncation hardening --- *)
@@ -294,12 +301,10 @@ let test_view_memoized () =
       payload = "p";
     }
   in
-  let fr =
-    Codec.framed (Codec.encode pool (Codec.put_envelope Codec.put_str) e)
-  in
+  let fr = Sgroup.encode pool (Codec.bss Codec.put_str Codec.get_str) e in
   let dec = Codec.get_envelope Codec.get_str in
-  let v1 = Codec.view fr ~dec in
-  let v2 = Codec.view fr ~dec in
+  let v1 = Sgroup.view fr ~dec in
+  let v2 = Sgroup.view fr ~dec in
   check "second view is the first (memoized)" true (v1 == v2);
   check "view decodes the envelope" true (Vc.equal v1.Bss.stamp e.Bss.stamp)
 
@@ -349,133 +354,68 @@ let prop_codec_hop_vs_oracle =
 
 let lat () = Latency.lognormal ~mu:0.3 ~sigma:0.9 ()
 
-let nodes = 4
+(* Explicit deps for OSend: op i depends on ops i-1 and i/2 — a
+   dependency chain plus cross links, enough reordering pressure to park
+   messages. *)
+let workload =
+  {
+    Framed_table.nodes = 4;
+    ops = 60;
+    dep =
+      (fun sent i ->
+        if i = 0 then Dep.null
+        else
+          Dep.after_all
+            (List.map (fun j -> sent.(j))
+               (List.sort_uniq Int.compare [ i - 1; i / 2 ])));
+  }
 
-let ops = 60
+let nets =
+  {
+    Framed_table.make =
+      (fun engine ->
+        Net.create engine ~nodes:workload.Framed_table.nodes ~latency:(lat ())
+          ());
+  }
 
-(* Schedule op [i] at time i/2 from sender [i mod nodes]; the two runs
-   share nothing but the seed, so equality means the framed path made
-   exactly the same RNG draws and deliveries. *)
-let schedule_ops engine f =
-  for i = 0 to ops - 1 do
-    Engine.schedule_at engine ~time:(0.5 *. float_of_int i) (fun () -> f i)
-  done;
-  Engine.run engine
-
-let bss_plain seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Bss.Group.create net () in
-  schedule_ops engine (fun i ->
-      Bss.Group.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
-        (Printf.sprintf "p%d" i));
-  (List.init nodes (Bss.Group.delivered_tags g), Net.bytes_sent net)
-
-let bss_framed seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
-        (Printf.sprintf "p%d" i));
-  (List.init nodes (Fgroup.Bss.delivered_tags g), Net.bytes_sent net, g)
-
-let test_bss_framed_equiv () =
+(* The two runs share nothing but the seed, so equality means the framed
+   path made exactly the same RNG draws and deliveries. *)
+let test_framed_equiv (e : Framed_table.engine) seeds () =
+  let name = e.Framed_table.name in
   List.iter
     (fun seed ->
-      let plain, plain_bytes = bss_plain seed in
-      let framed, framed_bytes, g = bss_framed seed in
-      check "bss: framed tags = plain tags (all members)" true (plain = framed);
+      let plain = e.Framed_table.run ~framed:false workload nets ~seed in
+      let framed = e.Framed_table.run ~framed:true workload nets ~seed in
+      check (name ^ ": framed orders = plain orders (all members)") true
+        (plain.Framed_table.delivered = framed.Framed_table.delivered);
       List.iter
-        (fun tags -> check_int "bss: everyone delivered all" ops
-            (List.length tags))
-        framed;
+        (fun d ->
+          check_int (name ^ ": everyone delivered all")
+            workload.Framed_table.ops (List.length d))
+        framed.Framed_table.delivered;
       (* plain path books the abstract default size (1/copy); framed
-         books real frame lengths, which include a stamp of [nodes]
-         components and can only be bigger *)
-      check "bss: framed bytes are real" true (framed_bytes > plain_bytes);
-      (* every copy — including each sender's self copy — is charged on
-         send and again on receive, and nothing is dropped here, so the
-         two sides of the wire agree exactly *)
-      check_int "bss: received bytes = sent bytes"
-        framed_bytes (Fgroup.Bss.wire_bytes g);
-      let m = Fgroup.Bss.metrics g 0 in
-      check "bss: bytes/delivery populated" true
+         books real frame lengths, which can only be bigger *)
+      check (name ^ ": framed bytes are real") true
+        (framed.Framed_table.bytes_sent > plain.Framed_table.bytes_sent);
+      (* every copy that crosses the wire is charged on send and again on
+         receive, and nothing is dropped here, so the two sides of the
+         wire agree exactly *)
+      check_int (name ^ ": received bytes = sent bytes")
+        framed.Framed_table.bytes_sent (Framed_table.wire_bytes framed);
+      let m = List.hd framed.Framed_table.metrics in
+      check (name ^ ": bytes/delivery populated") true
         (Metrics.bytes_per_delivery m > 0.0))
-    [ 1; 7; 42; 1337 ]
+    seeds
 
-let psync_plain seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Psync.create net () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  List.map (List.map Label.to_string) (Psync.all_delivered_orders g)
-
-let psync_framed seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Fgroup.Psync.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Fgroup.Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  ( List.map (List.map Label.to_string) (Fgroup.Psync.all_delivered_orders g),
-    g )
-
-let test_psync_framed_equiv () =
-  List.iter
-    (fun seed ->
-      let plain = psync_plain seed in
-      let framed, g = psync_framed seed in
-      check "psync: framed orders = plain orders" true (plain = framed);
-      check "psync: wire bytes flow" true (Fgroup.Psync.wire_bytes g > 0))
-    [ 3; 11; 99 ]
-
-(* Explicit deps: op i depends on ops i-1 and i/2 — a dependency chain
-   plus cross links, enough reordering pressure to park messages. *)
-let osend_run ~framed seed =
-  let engine = Engine.create ~seed () in
-  let labels = Array.make ops None in
-  let dep_for i =
-    if i = 0 then Dep.null
-    else
-      Dep.after_all
-        (List.filter_map
-           (fun j -> labels.(j))
-           (List.sort_uniq Int.compare [ i - 1; i / 2 ]))
-  in
-  if framed then begin
-    let net = Net.create engine ~nodes ~latency:(lat ()) () in
-    let g = Fgroup.Osend.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-    schedule_ops engine (fun i ->
-        labels.(i) <-
-          Some
-            (Fgroup.Osend.osend g ~src:(i mod nodes)
-               ~name:(Printf.sprintf "s%d" i) ~dep:(dep_for i)
-               (Printf.sprintf "p%d" i)));
-    List.map (List.map Label.to_string) (Fgroup.Osend.all_delivered_orders g)
-  end
-  else begin
-    let net = Net.create engine ~nodes ~latency:(lat ()) () in
-    let g = Group.create net () in
-    schedule_ops engine (fun i ->
-        labels.(i) <-
-          Some
-            (Group.osend g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-               ~dep:(dep_for i)
-               (Printf.sprintf "p%d" i)));
-    List.map (List.map Label.to_string) (Group.all_delivered_orders g)
-  end
-
-let test_osend_framed_equiv () =
-  List.iter
-    (fun seed ->
-      check "osend: framed orders = plain orders" true
-        (osend_run ~framed:false seed = osend_run ~framed:true seed))
-    [ 2; 13; 77 ]
+let framed_cases =
+  List.map
+    (fun (e, seeds) ->
+      Alcotest.test_case
+        (e.Framed_table.name ^ " framed = plain (same seed)")
+        `Quick (test_framed_equiv e seeds))
+    Framed_table.
+      [ (bss, [ 1; 7; 42; 1337 ]); (psync, [ 3; 11; 99 ]);
+        (osend, [ 2; 13; 77 ]); (pc, [ 5; 21; 64 ]) ]
 
 let () =
   Alcotest.run "wire"
@@ -506,13 +446,5 @@ let () =
             test_view_memoized;
           prop_codec_hop_vs_oracle;
         ] );
-      ( "framed groups",
-        [
-          Alcotest.test_case "bss framed = plain (same seed)" `Quick
-            test_bss_framed_equiv;
-          Alcotest.test_case "psync framed = plain (same seed)" `Quick
-            test_psync_framed_equiv;
-          Alcotest.test_case "osend framed = plain (same seed)" `Quick
-            test_osend_framed_equiv;
-        ] );
+      ("framed groups", framed_cases);
     ]

@@ -18,11 +18,12 @@ let swap_tags trace i j =
 
 (* Indexed records of one kind at one node, preserving global indices. *)
 let indexed trace ~node kind =
-  let acc = ref [] and i = ref 0 in
-  Trace.iter trace (fun r ->
-      if r.Trace.node = node && r.Trace.kind = kind then acc := (!i, r) :: !acc;
-      incr i);
-  List.rev !acc
+  let acc = ref [] in
+  for i = Trace.length trace - 1 downto 0 do
+    if Trace.node_at trace i = node && Trace.kind_at trace i = kind then
+      acc := (i, Trace.get trace i) :: !acc
+  done;
+  !acc
 
 let find_adjacent trace ~kind ~pick =
   let rec scan = function

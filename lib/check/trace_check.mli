@@ -16,6 +16,12 @@
     - {!stable_points} — replica digests recorded via [Mark] events at
       each stable point match across members (§6.1).
 
+    Each checker builds one per-node index of the trace's [Deliver],
+    [Release] and [Mark] rows in a single pass, and resolves every
+    distinct tag to its graph label once, so a check costs O(records)
+    plus the work per delivery its property needs; records are
+    materialised only for the diagnostics a check reports.
+
     The checkers are pure trace analyses: they know nothing about which
     engine or stack composition produced the trace, so the same oracle
     audits every composition (and seeded mutations of their traces — see
@@ -41,6 +47,15 @@ val causal :
     named ancestor delivered; [After_any]: at least one alternative).
     Each violation names the offending records and a minimal dependency
     chain.  Tags the graph does not know are skipped. *)
+
+val causal_among :
+  graph:Causalb_graph.Depgraph.t ->
+  nodes:(int -> bool) ->
+  Causalb_sim.Trace.t ->
+  Diag.t list
+(** {!causal} restricted to the members [nodes] accepts, reading the
+    trace in place: equal to {!causal} over the trace with every other
+    member's records removed. *)
 
 val fifo :
   graph:Causalb_graph.Depgraph.t -> Causalb_sim.Trace.t -> Diag.t list

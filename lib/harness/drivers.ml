@@ -653,16 +653,11 @@ type pc_result = {
 (* The causal checker demands a delivery's R(M) ancestors be delivered
    at the same node first — which joiners legitimately violate: their
    causal past starts at the contact's adopt-first baseline, so pre-join
-   history never arrives.  Scope the causal pass to founders by
-   rebuilding the trace without joiner records; FIFO (and the joiners'
-   per-origin monotonicity it implies) is still checked on everyone. *)
+   history never arrives.  Scope the causal pass to founders; FIFO (and
+   the joiners' per-origin monotonicity it implies) is still checked on
+   everyone. *)
 let founders_view trace ~founders =
-  let t = Trace.create () in
-  Trace.iter trace (fun r ->
-      if r.Trace.node < founders then
-        Trace.record t ~time:r.Trace.time ~node:r.Trace.node ~kind:r.Trace.kind
-          ~tag:r.Trace.tag ~info:r.Trace.info ());
-  t
+  Trace.keep_nodes trace (fun node -> node < founders)
 
 (* The churn oracle as a pure function of (trace, graph, loss) — the
    live driver below and the campaign's planted re-audits share it, so
@@ -673,7 +668,8 @@ let recheck_pc ~replicas ~lost ~graph trace =
   let module C = Causalb_check.Trace_check in
   C.fifo ~graph trace
   @
-  if lost = 0 then C.causal ~graph (founders_view trace ~founders:replicas)
+  if lost = 0 then
+    C.causal_among ~graph ~nodes:(fun node -> node < replicas) trace
   else []
 
 let run_pc ?(seed = 42) ?(latency = default_latency) ?nemesis ~replicas w =
@@ -793,9 +789,10 @@ let run_object ?(seed = 42) ?(latency = default_latency) ~replicas ~machine
   let module C = Causalb_check.Trace_check in
   let diagnostics = C.causal ~graph trace @ C.stable_points trace in
   let stable_marks = ref 0 in
-  Causalb_sim.Trace.iter trace (fun r ->
-      if r.Causalb_sim.Trace.kind = Causalb_sim.Trace.Mark then
-        incr stable_marks);
+  for i = 0 to Causalb_sim.Trace.length trace - 1 do
+    if Causalb_sim.Trace.kind_at trace i = Causalb_sim.Trace.Mark then
+      incr stable_marks
+  done;
   {
     checks = Service.check svc;
     diagnostics;

@@ -260,7 +260,8 @@ val recheck_pc :
   Causalb_check.Diag.t list
 (** The churn oracle as a pure function: FIFO over the whole trace
     (adopt-first baselines keep every joiner's per-origin sequence
-    increasing), causal over {!founders_view} — and only when [lost = 0]
+    increasing), causal over the founders' records (those
+    {!founders_view} keeps, read in place) — and only when [lost = 0]
     partition/loss copies vanished (departure drops don't count; a
     departed member's in-flight copies are harmless to survivors).
     {!run_pc} applies exactly this to its own trace; [Campaign] replays

@@ -87,16 +87,13 @@ let set_handler t node f =
   check_node t "set_handler" node;
   t.handlers.(node) <- Some f
 
-(* Tracing is off on the hot benchmarking paths, so info strings must
-   never be built eagerly: call sites guard [record] behind [tracing] and
-   only then pay the [Printf.sprintf]. *)
-let tracing t = t.trace <> None
-
-let record t ~node ~kind ~tag ~info =
+(* Transport records carry the cause and the peer id; the trace renders
+   their text only when a record is read back. *)
+let record t ~node ev ~peer =
   match t.trace with
   | None -> ()
   | Some tr ->
-    Trace.record tr ~time:(Engine.now t.engine) ~node ~kind ~tag ~info ()
+    Trace.record_transport tr ~time:(Engine.now t.engine) ~node ev ~peer
 
 (* Dynamic endpoint registration.  Per-node arrays grow geometrically;
    the FIFO floor matrix starts new links at 0.0, which is always ≤ now,
@@ -132,15 +129,13 @@ let add_node t =
     cells.(id) <- t.next_cell;
     t.next_cell <- t.next_cell + 1);
   t.n <- t.n + 1;
-  if tracing t then
-    record t ~node:id ~kind:Trace.Mark ~tag:"join" ~info:"net:add_node";
+  record t ~node:id Trace.Node_added ~peer:id;
   id
 
 let remove_node t node =
   check_node t "remove_node" node;
   t.departed.(node) <- true;
-  if tracing t then
-    record t ~node ~kind:Trace.Mark ~tag:"leave" ~info:"net:remove_node"
+  record t ~node Trace.Node_removed ~peer:node
 
 let is_departed t node =
   check_node t "is_departed" node;
@@ -158,17 +153,13 @@ let deliver t ~src ~dst payload =
      departed node's (still installed) handler is never re-entered. *)
   if t.departed.(dst) then begin
     t.dropped_departed <- t.dropped_departed + 1;
-    if tracing t then
-      record t ~node:dst ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "departed from=%d" src)
+    record t ~node:dst Trace.Lost_departed_src ~peer:src
   end
   else
     match t.handlers.(dst) with
     | Some f ->
       t.delivered <- t.delivered + 1;
-      if tracing t then
-        record t ~node:dst ~kind:Trace.Receive ~tag:""
-          ~info:(Printf.sprintf "from=%d" src);
+      record t ~node:dst Trace.Received_from ~peer:src;
       f ~src payload
     | None -> t.dropped_no_handler <- t.dropped_no_handler + 1
 
@@ -241,21 +232,15 @@ let send_copy t ~src ~dst ~size payload =
      cannot resurrect a removed node. *)
   if t.departed.(src) || t.departed.(dst) then begin
     t.dropped_departed <- t.dropped_departed + 1;
-    if tracing t then
-      record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "departed dst=%d" dst)
+    record t ~node:src Trace.Lost_departed_dst ~peer:dst
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
-    if tracing t then
-      record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "partition dst=%d" dst)
+    record t ~node:src Trace.Lost_partition ~peer:dst
   end
   else if Rng.bernoulli t.rng t.fault.Fault.drop_prob then begin
     t.dropped_loss <- t.dropped_loss + 1;
-    if tracing t then
-      record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "loss dst=%d" dst)
+    record t ~node:src Trace.Lost_loss ~peer:dst
   end
   else begin
     schedule_copy t ~src ~dst payload;
@@ -266,14 +251,12 @@ let send_copy t ~src ~dst ~size payload =
 let send t ~src ~dst ?(size = 1) payload =
   check_node t "send" src;
   check_node t "send" dst;
-  if tracing t then
-    record t ~node:src ~kind:Trace.Send ~tag:""
-      ~info:(Printf.sprintf "dst=%d" dst);
+  record t ~node:src Trace.Sent_to ~peer:dst;
   send_copy t ~src ~dst ~size payload
 
 let broadcast t ~src ?(self = true) ?(size = 1) payload =
   check_node t "broadcast" src;
-  if tracing t then record t ~node:src ~kind:Trace.Send ~tag:"" ~info:"bcast";
+  record t ~node:src Trace.Sent_all ~peer:src;
   (* Membership-aware fan-out: departed endpoints are not addressed at
      all (no copy, no byte charge) — a real group would have removed
      them from its view.  Point-to-point [send] to one still counts a

@@ -34,7 +34,6 @@ let test_trace_array () =
   check_int "iter visits all" 100 !n;
   let sum = Trace.fold t ~init:0.0 ~f:(fun acc r -> acc +. r.Trace.time) in
   check "fold sums times" true (sum = 4950.0);
-  check_int "events agrees" 100 (List.length (Trace.events t));
   check "get out of range" true
     (try
        ignore (Trace.get t 100);
@@ -47,16 +46,17 @@ let test_deliveries_include_release () =
   Trace.record t ~time:2.0 ~node:0 ~kind:Trace.Deliver ~tag:"b" ();
   Trace.record t ~time:3.0 ~node:0 ~kind:Trace.Release ~tag:"b" ();
   Trace.record t ~time:4.0 ~node:0 ~kind:Trace.Release ~tag:"a" ();
-  (* deliveries_at surfaces both kinds: the deliver→release pairing *)
-  check_int "deliver and release surfaced" 4
-    (List.length (Trace.deliveries_at t 0));
+  let tags rs = List.map (fun r -> r.Trace.tag) rs in
+  (* both kinds stay visible: the deliver→release pairing *)
+  check "delivers surfaced" true
+    (tags (Trace_check.deliver_records t ~node:0) = [ "a"; "b" ]);
   (* the application-visible order is the Release sequence when present *)
-  check "delivery_order prefers releases" true
-    (Trace.delivery_order t 0 = [ "b"; "a" ]);
+  check "release_records prefers releases" true
+    (tags (Trace_check.release_records t ~node:0) = [ "b"; "a" ]);
   let t2 = Trace.create () in
   Trace.record t2 ~time:1.0 ~node:0 ~kind:Trace.Deliver ~tag:"a" ();
-  check "delivery_order falls back to delivers" true
-    (Trace.delivery_order t2 0 = [ "a" ])
+  check "release_records falls back to delivers" true
+    (tags (Trace_check.release_records t2 ~node:0) = [ "a" ])
 
 (* --- depgraph analysis helpers ---------------------------------------- *)
 
@@ -393,6 +393,233 @@ let prop_mutations_always_caught =
       in
       causal_caught && release_caught)
 
+(* --- equivalence with the list-based reference ------------------------ *)
+
+module Ref = Ref_trace_check
+
+let rendered ds = List.map Diag.to_string ds
+let lines rs = List.map (Format.asprintf "%a" Trace.pp_record) rs
+
+(* The first checker on which the indexed oracle and the reference
+   disagree over [trace], if any: diagnostics are compared as rendered
+   text, record lists record by record. *)
+let disagreement ~graph ~sync ~founders trace =
+  let nodes = Trace_check.nodes trace in
+  let checks =
+    [
+      ("nodes", fun () -> nodes = Ref.nodes trace);
+      ( "deliver_records",
+        fun () ->
+          List.for_all
+            (fun node ->
+              lines (Trace_check.deliver_records trace ~node)
+              = lines (Ref.deliver_records trace ~node))
+            nodes );
+      ( "release_records",
+        fun () ->
+          List.for_all
+            (fun node ->
+              lines (Trace_check.release_records trace ~node)
+              = lines (Ref.release_records trace ~node))
+            nodes );
+      ( "causal",
+        fun () ->
+          rendered (Trace_check.causal ~graph trace)
+          = rendered (Ref.causal ~graph trace) );
+      ( "causal_among",
+        fun () ->
+          rendered
+            (Trace_check.causal_among ~graph
+               ~nodes:(fun n -> n < founders)
+               trace)
+          = rendered (Ref.causal ~graph (Ref.founders_view trace ~founders)) );
+      ( "founders_view",
+        fun () ->
+          lines (Trace.fold (Drivers.founders_view trace ~founders) ~init:[]
+                   ~f:(fun acc r -> r :: acc))
+          = lines (Trace.fold (Ref.founders_view trace ~founders) ~init:[]
+                     ~f:(fun acc r -> r :: acc)) );
+      ( "fifo",
+        fun () ->
+          rendered (Trace_check.fifo ~graph trace)
+          = rendered (Ref.fifo ~graph trace) );
+      ( "total_order strict",
+        fun () ->
+          rendered (Trace_check.total_order ~strict:true ~graph trace)
+          = rendered (Ref.total_order ~strict:true ~graph trace) );
+      ( "total_order sync",
+        fun () ->
+          rendered (Trace_check.total_order ~graph ~sync trace)
+          = rendered (Ref.total_order ~graph ~sync trace) );
+      ( "total_order sync points",
+        fun () ->
+          rendered (Trace_check.total_order ~graph trace)
+          = rendered (Ref.total_order ~graph trace) );
+      ( "stable_points",
+        fun () ->
+          rendered (Trace_check.stable_points trace)
+          = rendered (Ref.stable_points trace) );
+    ]
+  in
+  List.find_map (fun (name, ok) -> if ok () then None else Some name) checks
+
+(* A random multi-node trace over a random dependency graph: labels from
+   three origins (some sharing one display name, so two labels can render
+   alike), predicates over earlier labels and a ghost the graph lacks,
+   and records of every kind — transport records included — whose tags
+   mix label renderings, stable-point marks and unknown strings. *)
+let random_case seed =
+  let st = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let labels =
+    List.concat_map
+      (fun origin ->
+        List.filter_map
+          (fun seq ->
+            if Random.State.int st 4 = 0 then None
+            else
+              let name =
+                if Random.State.int st 6 = 0 then Some "dup" else None
+              in
+              Some (lbl ?name origin seq))
+          [ 0; 1; 2; 3 ])
+      [ 0; 1; 2 ]
+    |> Array.of_list
+  in
+  let ghost = lbl 7 7 in
+  let g = Depgraph.create () in
+  Array.iteri
+    (fun k l ->
+      let earlier () =
+        if k = 0 || Random.State.int st 8 = 0 then ghost
+        else labels.(Random.State.int st k)
+      in
+      let dep =
+        match Random.State.int st 4 with
+        | 0 -> Dep.null
+        | 1 -> Dep.after (earlier ())
+        | 2 -> Dep.after_all [ earlier (); earlier () ]
+        | _ -> Dep.after_any [ earlier (); earlier () ]
+      in
+      Depgraph.add g l ~dep)
+    labels;
+  let tags =
+    Array.append
+      (Array.map Label.to_string labels)
+      [| ""; "ghost"; "m7.7"; "stable:0"; "stable:1" |]
+  in
+  let transports =
+    Trace.
+      [|
+        Sent_to; Sent_all; Received_from; Lost_partition; Lost_loss;
+        Lost_departed_dst; Lost_departed_src; Node_added; Node_removed;
+      |]
+  in
+  let kinds =
+    Trace.[| Send; Receive; Deliver; Deliver; Deliver; Release; Release; Drop; Mark |]
+  in
+  let trace = Trace.create ~capacity:1 () in
+  (* one trace in eight spans several 512-row storage chunks *)
+  let rows = if Random.State.int st 8 = 0 then 1600 else 80 in
+  for i = 0 to Random.State.int st rows do
+    let time = float_of_int i /. 2.0 and node = Random.State.int st 5 - 1 in
+    if Random.State.int st 6 = 0 then
+      Trace.record_transport trace ~time ~node (pick transports)
+        ~peer:(Random.State.int st 4)
+    else
+      Trace.record trace ~time ~node ~kind:(pick kinds) ~tag:(pick tags)
+        ~info:(pick [| ""; "digest=aa"; "digest=bb" |])
+        ()
+  done;
+  let sync =
+    Array.fold_left
+      (fun acc l -> if Random.State.bool st then Label.Set.add l acc else acc)
+      Label.Set.empty labels
+  in
+  (g, sync, trace)
+
+let prop_oracle_matches_reference =
+  qtest ~count:500 "oracle = reference on random traces"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let graph, sync, trace = random_case seed in
+      match disagreement ~graph ~sync ~founders:2 trace with
+      | None -> true
+      | Some name -> QCheck2.Test.fail_reportf "seed %d: %s differs" seed name)
+
+(* Every mutation Check.Mutate plants in the audited compositions' traces
+   (and every clean trace) gets the same verdict text from both
+   checkers. *)
+let prop_mutations_match_reference =
+  qtest ~count:8 "oracle = reference on every mutation" params_gen
+    (fun (ops, window, replicas, seed) ->
+      List.for_all
+        (fun spec ->
+          let _, a = audit_of ~seed ~replicas ~ops ~window spec in
+          let graph = a.Drivers.graph and sync = a.Drivers.sync in
+          let fst3 = Option.map (fun (t, _, _) -> t) in
+          let traces =
+            a.Drivers.trace
+            :: List.filter_map Fun.id
+                 [
+                   fst3 (Mutate.reorder_causal ~graph a.Drivers.trace);
+                   fst3 (Mutate.reorder_fifo ~graph a.Drivers.trace);
+                   fst3 (Mutate.reorder_release ~graph a.Drivers.trace);
+                   fst3 (Mutate.reorder_release ~sync ~graph a.Drivers.trace);
+                   Option.map fst (Mutate.corrupt_mark a.Drivers.trace);
+                 ]
+          in
+          List.for_all
+            (fun trace ->
+              match disagreement ~graph ~sync ~founders:replicas trace with
+              | None -> true
+              | Some name ->
+                QCheck2.Test.fail_reportf "%s seed %d: %s differs"
+                  (Drivers.stack_spec_name spec) seed name)
+            traces)
+        (Drivers.Pc_stack :: all_specs ops))
+
+(* The churn oracle: PC runs under join/leave (and a partition, so the
+   causal pass is sometimes disarmed), clean and with a swapped
+   delivery, give the same [recheck_pc] verdicts as the reference. *)
+let test_recheck_pc_matches_reference () =
+  List.iter
+    (fun seed ->
+      let w = { Drivers.ops = 30; spacing = 0.5; mix = Drivers.Random 0.3 } in
+      let nemesis =
+        Causalb_net.Nemesis.
+          [
+            { at = 2.0; action = Join { contact = 0 } };
+            { at = 4.0; action = Partition [ [ 0; 1 ]; [ 2 ] ] };
+            { at = 6.0; action = Heal };
+            { at = 8.0; action = Leave 1 };
+            { at = 9.0; action = Join { contact = 2 } };
+          ]
+      in
+      let nemesis = if seed mod 2 = 0 then nemesis else List.tl nemesis in
+      let r = Drivers.run_pc ~seed ~nemesis ~replicas:3 w in
+      let graph = r.Drivers.pc_graph and lost = r.Drivers.pc_lost in
+      let traces =
+        r.Drivers.pc_trace
+        :: List.filter_map
+             (Option.map (fun (t, _, _) -> t))
+             [
+               Mutate.reorder_causal ~graph r.Drivers.pc_trace;
+               Mutate.reorder_fifo ~graph r.Drivers.pc_trace;
+             ]
+      in
+      List.iter
+        (fun trace ->
+          List.iter
+            (fun lost ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "seed %d lost %d" seed lost)
+                (rendered (Ref.recheck_pc ~replicas:3 ~lost ~graph trace))
+                (rendered (Drivers.recheck_pc ~replicas:3 ~lost ~graph trace)))
+            [ 0; lost ])
+        traces)
+    [ 1; 2; 3; 4; 5; 6 ]
+
 let () =
   Alcotest.run "check"
     [
@@ -423,4 +650,11 @@ let () =
           Alcotest.test_case "mutations caught" `Quick test_mutations_caught;
         ] );
       ("props", [ prop_clean_workloads; prop_mutations_always_caught ]);
+      ( "reference",
+        [
+          prop_oracle_matches_reference;
+          prop_mutations_match_reference;
+          Alcotest.test_case "recheck_pc" `Quick
+            test_recheck_pc_matches_reference;
+        ] );
     ]

@@ -3,6 +3,7 @@
 
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
+module Trace = Causalb_sim.Trace
 module Net = Causalb_net.Net
 module Fault = Causalb_net.Fault
 
@@ -296,6 +297,70 @@ let test_join_under_partition_isolated () =
   check "joiner reachable after heal" true
     (got () = [ (0, "after heal") ])
 
+(* Transport records keep a cause and a peer id; their text is rendered
+   when read back.  Every variant's rendering is pinned to the text the
+   formatted-string records carried, through [Trace.pp_record], the
+   column copy [Trace.keep_nodes] and [Diag.to_json_line]. *)
+let test_trace_rendering () =
+  let trace = Trace.create () in
+  let engine = Engine.create ~seed:3 () in
+  let net =
+    Net.create engine ~nodes:4 ~latency:(Latency.constant 1.0) ~trace ()
+  in
+  for i = 0 to 3 do
+    Net.set_handler net i (fun ~src:_ () -> ())
+  done;
+  Net.send net ~src:0 ~dst:3 ();
+  Engine.run engine;
+  Net.broadcast net ~src:2 ~self:false ();
+  Engine.run engine;
+  Net.partition net [ [ 0 ]; [ 1; 2; 3 ] ];
+  Net.send net ~src:0 ~dst:1 ();
+  Net.heal net;
+  Net.set_fault net (Fault.make ~drop_prob:1.0 ());
+  Net.send net ~src:0 ~dst:1 ();
+  Net.set_fault net Fault.none;
+  (* in flight when its destination departs *)
+  Net.send net ~src:0 ~dst:1 ();
+  Net.remove_node net 1;
+  Engine.run engine;
+  Net.send net ~src:2 ~dst:1 ();
+  ignore (Net.add_node net);
+  Engine.run engine;
+  let expected =
+    [
+      "     0.000 n0 send  dst=3";
+      "     1.000 n3 recv  from=0";
+      "     1.000 n2 send  bcast";
+      "     2.000 n0 recv  from=2";
+      "     2.000 n1 recv  from=2";
+      "     2.000 n3 recv  from=2";
+      "     2.000 n0 send  dst=1";
+      "     2.000 n0 drop  partition dst=1";
+      "     2.000 n0 send  dst=1";
+      "     2.000 n0 drop  loss dst=1";
+      "     2.000 n0 send  dst=1";
+      "     2.000 n1 mark leave net:remove_node";
+      "     3.000 n1 drop  departed from=0";
+      "     3.000 n2 send  dst=1";
+      "     3.000 n2 drop  departed dst=1";
+      "     3.000 n4 mark join net:add_node";
+    ]
+  in
+  let lines tr =
+    List.rev
+      (Trace.fold tr ~init:[] ~f:(fun acc r ->
+           Format.asprintf "%a" Trace.pp_record r :: acc))
+  in
+  Alcotest.(check (list string)) "pp_record" expected (lines trace);
+  Alcotest.(check (list string)) "keep_nodes copy" expected
+    (lines (Trace.keep_nodes trace (fun _ -> true)));
+  Alcotest.(check string) "to_json"
+    {|{"check":"golden","node":0,"summary":"one record","records":[{"time":0,"node":0,"kind":"send","tag":"","info":"dst=3"}],"chain":[]}|}
+    (Causalb_check.Diag.to_json_line
+       (Causalb_check.Diag.make ~check:"golden" ~node:0
+          ~records:[ Trace.get trace 0 ] "one record"))
+
 let () =
   Alcotest.run "net"
     [
@@ -343,5 +408,6 @@ let () =
             test_self_broadcast_bytes;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
+          Alcotest.test_case "trace rendering" `Quick test_trace_rendering;
         ] );
     ]

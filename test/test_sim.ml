@@ -3,6 +3,7 @@
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
 module Trace = Causalb_sim.Trace
+module Trace_check = Causalb_check.Trace_check
 module Rng = Causalb_util.Rng
 
 let check = Alcotest.(check bool)
@@ -185,11 +186,15 @@ let test_trace_roundtrip () =
   Trace.record tr ~time:2.0 ~node:1 ~kind:Trace.Deliver ~tag:"m1" ();
   Trace.record tr ~time:3.0 ~node:1 ~kind:Trace.Deliver ~tag:"m2" ~info:"x" ();
   check_int "length" 3 (Trace.length tr);
-  check_int "deliveries at 1" 2 (List.length (Trace.deliveries_at tr 1));
+  let delivered = Trace_check.deliver_records tr ~node:1 in
+  check_int "deliveries at 1" 2 (List.length delivered);
   Alcotest.(check (list string)) "delivery order" [ "m1"; "m2" ]
-    (Trace.delivery_order tr 1);
-  check "find m2" true (Trace.find_delivery tr ~node:1 ~tag:"m2" = Some 3.0);
-  check "find missing" true (Trace.find_delivery tr ~node:0 ~tag:"m2" = None)
+    (List.map (fun r -> r.Trace.tag) (Trace_check.release_records tr ~node:1));
+  check "m2 delivered at 3.0" true
+    (List.exists
+       (fun r -> r.Trace.tag = "m2" && r.Trace.time = 3.0 && r.Trace.info = "x")
+       delivered);
+  check "nothing delivered at 0" true (Trace_check.deliver_records tr ~node:0 = [])
 
 let test_engine_every_unbounded_with_budget () =
   (* an unbounded periodic timer is stoppable via max_events *)
@@ -221,13 +226,6 @@ let test_trace_pp () =
     && Trace.kind_to_string Trace.Send = "send"
     && Trace.kind_to_string Trace.Drop = "drop")
 
-let test_trace_filter () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~node:0 ~kind:Trace.Drop ~tag:"m" ();
-  Trace.record tr ~time:2.0 ~node:0 ~kind:Trace.Mark ~tag:"stable" ();
-  check_int "drops" 1
-    (List.length (Trace.filter tr (fun r -> r.Trace.kind = Trace.Drop)))
-
 let () =
   Alcotest.run "sim"
     [
@@ -258,7 +256,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "filter" `Quick test_trace_filter;
           Alcotest.test_case "pp" `Quick test_trace_pp;
         ] );
       ( "misc",
